@@ -316,7 +316,7 @@ void Solver::initialize_sedov() {
     const double r_dep = 1.5 * dx;
     std::vector<std::size_t> hot;
     for (std::size_t i = 0; i < gas_.size(); ++i) {
-      const auto d = sph::min_image(gas_.pos_of(i) - center, cfg_.box);
+      const auto d = util::wrap_periodic(gas_.pos_of(i) - center, cfg_.box);
       if (norm(d) <= r_dep) hot.push_back(i);
     }
     if (hot.empty()) {
@@ -866,7 +866,7 @@ Solver::Diagnostics Solver::diagnostics() const {
           const double qx = (ix + 0.5 + offset_cells) * dx;
           const double qy = (iy + 0.5 + offset_cells) * dx;
           const double qz = (iz + 0.5 + offset_cells) * dx;
-          const auto disp = sph::min_image(
+          const auto disp = util::wrap_periodic(
               util::Vec3d{p.x[i] - qx, p.y[i] - qy, p.z[i] - qz}, cfg_.box);
           d.max_displacement = std::max(d.max_displacement, norm(disp));
         }

@@ -153,7 +153,7 @@ InteractionDomain::Drift InteractionDomain::measure_drift(
     for (int a = 0; a < 3; ++a) {
       double d = pos[i][a] - ref_pos_[i][a];
       if (std::fabs(d) > 0.5 * opt_.box) drift.wrapped = true;
-      d -= opt_.box * std::round(d / opt_.box);
+      d = util::wrap_periodic(d, opt_.box);
       d2 += d * d;
     }
     d2max = std::max(d2max, d2);

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "obs/trace.hpp"
+#include "util/vec3.hpp"
 
 namespace hacc::fmm {
 
@@ -270,10 +271,7 @@ FarFieldStats FmmEvaluator::evaluate_far(const InteractionLists& lists,
       Vec3d acc;
       for (std::int64_t s = s_begin; s < s_end; ++s) {
         const Multipole& mp = multipoles_[lists.far_nodes[s]];
-        Vec3d d = p - mp.com;
-        d.x -= box * std::round(d.x / box);
-        d.y -= box * std::round(d.y / box);
-        d.z -= box * std::round(d.z / box);
+        const Vec3d d = util::wrap_periodic(p - mp.com, box);
         const double r2 = norm2(d);
         if (r2 >= rcut2) continue;
         if (opt.poly == nullptr) {

@@ -1,8 +1,7 @@
 #include "gravity/pp_short.hpp"
 
-#include <cmath>
-
 #include "sph/half_warp.hpp"
+#include "util/vec3.hpp"
 #include "xsycl/atomic.hpp"
 
 namespace hacc::gravity {
@@ -45,9 +44,9 @@ struct GravityTraits {
     float dx = own.px - other.px;
     float dy = own.py - other.py;
     float dz = own.pz - other.pz;
-    dx -= box * std::round(dx / box);
-    dy -= box * std::round(dy / box);
-    dz -= box * std::round(dz / box);
+    dx = util::wrap_periodic(dx, box);
+    dy = util::wrap_periodic(dy, box);
+    dz = util::wrap_periodic(dz, box);
     const float r2 = dx * dx + dy * dy + dz * dz;
     if (r2 >= rcut2 || r2 <= 0.f) return {};
     // Newton minus the polynomial grid profile: attractive toward `other`.
@@ -91,9 +90,9 @@ void reference_pp_short(const GravityArrays& arrays, const PolyShortForce& poly,
       double dx = double(arrays.x[i]) - arrays.x[j];
       double dy = double(arrays.y[i]) - arrays.y[j];
       double dz = double(arrays.z[i]) - arrays.z[j];
-      dx -= box * std::round(dx / box);
-      dy -= box * std::round(dy / box);
-      dz -= box * std::round(dz / box);
+      dx = util::wrap_periodic(dx, double(box));
+      dy = util::wrap_periodic(dy, double(box));
+      dz = util::wrap_periodic(dz, double(box));
       const double r2 = dx * dx + dy * dy + dz * dz;
       if (r2 >= rcut2 || r2 <= 0.0) continue;
       const double f =

@@ -20,6 +20,29 @@ struct TlsEntry {
 constexpr int kTlsSlots = 4;
 thread_local TlsEntry tls_rings[kTlsSlots];  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables): per-thread cache is the mechanism
 
+// Lane names set before the calling thread's ring exists, per tracer.  A
+// name alone must not register a ring: threads that only name themselves
+// (every Solver's sched lane) would each pin a full ring while tracing is
+// off.  register_thread() applies and clears the name.
+struct TlsName {
+  std::uint64_t tracer_id = 0;  // 0 = empty slot
+  std::string name;
+};
+thread_local TlsName tls_names[kTlsSlots];  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables): per-thread pending lane names
+
+// The slot holding (or about to hold) `tracer_id`'s pending name.  With more
+// tracers than slots the first slot's name is evicted; that lane falls back
+// to "thread-<tid>".
+TlsName& name_slot(std::uint64_t tracer_id) {
+  for (auto& slot : tls_names) {
+    if (slot.tracer_id == tracer_id) return slot;
+  }
+  for (auto& slot : tls_names) {
+    if (slot.tracer_id == 0) return slot;
+  }
+  return tls_names[0];
+}
+
 std::uint64_t next_tracer_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -79,21 +102,33 @@ const char* Tracer::intern(const std::string& name) {
   return interned_.back()->c_str();
 }
 
-Tracer::ThreadTrace* Tracer::thread_buffer() {
-  for (auto& slot : tls_rings) {
+Tracer::ThreadTrace* Tracer::cached_buffer() const {
+  for (const auto& slot : tls_rings) {
     if (slot.tracer_id == id_) return static_cast<ThreadTrace*>(slot.buffer);
   }
-  return register_thread();
+  return nullptr;
+}
+
+Tracer::ThreadTrace* Tracer::thread_buffer() {
+  ThreadTrace* ring = cached_buffer();
+  return ring != nullptr ? ring : register_thread();
 }
 
 Tracer::ThreadTrace* Tracer::register_thread() {
+  std::string name;
+  TlsName& pending = name_slot(id_);
+  if (pending.tracer_id == id_) {
+    name = std::move(pending.name);
+    pending = TlsName{};
+  }
   ThreadTrace* ring = nullptr;
   {
     util::MutexLock lock(mu_);
     threads_.push_back(std::make_unique<ThreadTrace>(
         static_cast<int>(threads_.size()), capacity_));
     ring = threads_.back().get();
-    ring->thread_name = "thread-" + std::to_string(ring->tid);
+    ring->thread_name =
+        name.empty() ? "thread-" + std::to_string(ring->tid) : std::move(name);
   }
   for (auto& slot : tls_rings) {
     if (slot.tracer_id == 0) {
@@ -111,9 +146,14 @@ Tracer::ThreadTrace* Tracer::register_thread() {
 }
 
 void Tracer::set_thread_name(const std::string& name) {
-  ThreadTrace* ring = thread_buffer();
-  util::MutexLock lock(mu_);
-  ring->thread_name = name;
+  if (ThreadTrace* ring = cached_buffer()) {
+    util::MutexLock lock(mu_);
+    ring->thread_name = name;
+    return;
+  }
+  TlsName& pending = name_slot(id_);
+  pending.tracer_id = id_;
+  pending.name = name;
 }
 
 void Tracer::record(const char* name, double t0, double t1) {

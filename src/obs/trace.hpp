@@ -102,9 +102,11 @@ class Tracer {
   /// the same pointer.
   const char* intern(const std::string& name);
 
-  /// Names the calling thread's lane in exports ("main", "worker-3", ...),
-  /// registering its ring if needed.  Threads that never call this appear
-  /// as "thread-<tid>".
+  /// Names the calling thread's lane in exports ("main", "worker-3", ...).
+  /// Registers no ring: a thread that has not recorded yet keeps the name
+  /// thread-locally until its first event registers the ring, so naming
+  /// costs no memory while tracing is off.  Threads that never call this
+  /// appear as "thread-<tid>".
   void set_thread_name(const std::string& name);
 
   /// Records a completed span on the calling thread's lane.  `name` must
@@ -133,6 +135,7 @@ class Tracer {
     std::atomic<std::uint64_t> dropped{0};
   };
 
+  ThreadTrace* cached_buffer() const;  // nullptr until the first event
   ThreadTrace* thread_buffer();
   ThreadTrace* register_thread();
 

@@ -104,9 +104,9 @@ class PairInteractionKernel {
 
     for (int ta = 0; ta < tiles_a; ++ta) {
       for (int tb = self ? ta : 0; tb < tiles_b; ++tb) {
-        xsycl::Varying<State> mine;
-        xsycl::Varying<bool> active;
-        xsycl::Varying<std::int32_t> idx;
+        xsycl::Varying<State> mine(xsycl::kNoInit);
+        xsycl::Varying<bool> active(xsycl::kNoInit);
+        xsycl::Varying<std::int32_t> idx(xsycl::kNoInit);
         load_tile(sg, la, la.begin + ta * H, /*lane0=*/0, H, mine, active, idx);
         load_tile(sg, lb, lb.begin + tb * H, /*lane0=*/H, H, mine, active, idx);
         if (self && ta == tb) {
@@ -144,16 +144,16 @@ class PairInteractionKernel {
 
     for (int ta = 0; ta < tiles_a; ++ta) {
       // Every lane owns one A-particle (loads BOTH interaction sides, §5.3.2).
-      xsycl::Varying<State> mine;
-      xsycl::Varying<bool> active;
-      xsycl::Varying<std::int32_t> idx;
+      xsycl::Varying<State> mine(xsycl::kNoInit);
+      xsycl::Varying<bool> active(xsycl::kNoInit);
+      xsycl::Varying<std::int32_t> idx(xsycl::kNoInit);
       load_tile(sg, la, la.begin + ta * S, 0, S, mine, active, idx);
 
       xsycl::Varying<Accum> acc;
       for (int tb = 0; tb < tiles_b; ++tb) {
-        xsycl::Varying<State> bstate;
-        xsycl::Varying<bool> bactive;
-        xsycl::Varying<std::int32_t> bidx;
+        xsycl::Varying<State> bstate(xsycl::kNoInit);
+        xsycl::Varying<bool> bactive(xsycl::kNoInit);
+        xsycl::Varying<std::int32_t> bidx(xsycl::kNoInit);
         load_tile(sg, lb, lb.begin + tb * S, 0, S, bstate, bactive, bidx);
 
         const int bwidth = std::min(S, lb.end - (lb.begin + tb * S));

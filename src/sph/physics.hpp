@@ -37,18 +37,11 @@ struct HydroSide {
   CrkCoeffs<Real> crk;
 };
 
-// Minimum-image displacement in a periodic box.
-template <typename Real>
-inline util::Vec3<Real> min_image(util::Vec3<Real> d, Real box) {
-  for (int a = 0; a < 3; ++a) d[a] -= box * std::round(d[a] / box);
-  return d;
-}
-
 // ---- Geometry ----
 template <typename Real>
 inline Real geometry_term(const HydroSide<Real>& own, const HydroSide<Real>& other,
                           Real box) {
-  const auto xij = min_image(own.pos - other.pos, box);
+  const auto xij = util::wrap_periodic(own.pos - other.pos, box);
   return kernel_w(norm(xij), own.h);
 }
 
@@ -56,7 +49,7 @@ inline Real geometry_term(const HydroSide<Real>& own, const HydroSide<Real>& oth
 template <typename Real>
 inline void corrections_term(CrkMoments<Real>& m, const HydroSide<Real>& own,
                              const HydroSide<Real>& other, Real box) {
-  const auto xij = min_image(own.pos - other.pos, box);
+  const auto xij = util::wrap_periodic(own.pos - other.pos, box);
   const Real r = norm(xij);
   const Real w = kernel_w(r, own.h);
   if (w == Real(0)) return;
@@ -82,7 +75,7 @@ template <typename Real>
 inline ExtrasTerm<Real> extras_term(const HydroSide<Real>& own,
                                     const HydroSide<Real>& other, Real box) {
   ExtrasTerm<Real> out;
-  const auto xij = min_image(own.pos - other.pos, box);
+  const auto xij = util::wrap_periodic(own.pos - other.pos, box);
   const Real r = norm(xij);
   const Real w = kernel_w(r, own.h);
   if (w == Real(0)) return out;
@@ -139,7 +132,7 @@ inline AccelTerm<Real> accel_term(const HydroSide<Real>& own,
                                   const HydroSide<Real>& other, Real box,
                                   const ViscosityParams<Real>& vp) {
   AccelTerm<Real> out;
-  const auto xij = min_image(own.pos - other.pos, box);
+  const auto xij = util::wrap_periodic(own.pos - other.pos, box);
   const Real r = norm(xij);
   const Real support = kSupport * std::max(own.h, other.h);
   if (r <= Real(0) || r >= support) return out;
@@ -156,7 +149,7 @@ inline AccelTerm<Real> accel_term(const HydroSide<Real>& own,
 template <typename Real>
 inline Real energy_term(const HydroSide<Real>& own, const HydroSide<Real>& other,
                         Real box, const ViscosityParams<Real>& vp) {
-  const auto xij = min_image(own.pos - other.pos, box);
+  const auto xij = util::wrap_periodic(own.pos - other.pos, box);
   const Real r = norm(xij);
   const Real support = kSupport * std::max(own.h, other.h);
   if (r <= Real(0) || r >= support) return Real(0);

@@ -49,6 +49,30 @@ struct Vec3 {
 using Vec3f = Vec3<float>;
 using Vec3d = Vec3<double>;
 
+// Minimum-image wrap of one periodic displacement component: the single
+// definition of `d - box * std::round(d / box)`, and bit for bit equal to
+// it for every d (signed zeros, infinities and NaN included) and every
+// finite box.  Both decide from the same quotient q = d / box.  Every
+// pair interaction has |d/box| < 1.5, where round() is -1, 0 or +1 and the
+// product box * round() is exact, so that range is decided by compares; on
+// targets without a rounding instruction (baseline x86-64) std::round is an
+// out-of-line libm call, paid three times per interaction.  The middle case
+// returns d + 0, which is what d - box * (±0) yields: -0 maps to +0.
+template <typename T>
+inline T wrap_periodic(T d, T box) {
+  const T q = d / box;
+  if (q > T(-0.5) && q < T(0.5)) return d + T(0);
+  if (q >= T(0.5) && q < T(1.5)) return d - box;
+  if (q <= T(-0.5) && q > T(-1.5)) return d + box;
+  return d - box * std::round(q);
+}
+
+// Minimum-image wrap of every component of a displacement.
+template <typename T>
+inline Vec3<T> wrap_periodic(Vec3<T> d, T box) {
+  return {wrap_periodic(d.x, box), wrap_periodic(d.y, box), wrap_periodic(d.z, box)};
+}
+
 // Symmetric 3x3 matrix (for the CRK second moment m2 and its inverse).
 template <typename T>
 struct Sym3 {

@@ -21,7 +21,7 @@ namespace hacc::xsycl {
 template <typename T>
 inline Varying<T> select_from_group(SubGroup& sg, const Varying<T>& x,
                                     const Varying<std::int32_t>& src) {
-  Varying<T> out;
+  Varying<T> out(kNoInit);
   for (int l = 0; l < sg.size(); ++l) out[l] = x[src[l] & (sg.size() - 1)];
   ++sg.counters().select_ops;
   sg.counters().select_words +=
@@ -34,7 +34,7 @@ inline Varying<T> select_from_group(SubGroup& sg, const Varying<T>& x,
 // __shfl_xor_sync.
 template <typename T>
 inline Varying<T> permute_by_xor(SubGroup& sg, const Varying<T>& x, int mask) {
-  Varying<std::int32_t> src;
+  Varying<std::int32_t> src(kNoInit);
   for (int l = 0; l < sg.size(); ++l) src[l] = l ^ mask;
   return select_from_group(sg, x, src);
 }
@@ -115,7 +115,7 @@ inline int butterfly_partner(int lane, int round, int sg_size) {
 // Exchange via the XOR schedule using select_from_group (the Select variant).
 template <typename T>
 inline Varying<T> exchange_select(SubGroup& sg, const Varying<T>& x, int round) {
-  Varying<std::int32_t> src;
+  Varying<std::int32_t> src(kNoInit);
   for (int l = 0; l < sg.size(); ++l) src[l] = xor_partner(l, round, sg.size());
   return select_from_group(sg, x, src);
 }
@@ -125,7 +125,7 @@ inline Varying<T> exchange_select(SubGroup& sg, const Varying<T>& x, int round) 
 // the Intel model can price it at ~4 movs per register.
 template <typename T>
 inline Varying<T> exchange_visa(SubGroup& sg, const Varying<T>& x, int round) {
-  Varying<T> out;
+  Varying<T> out(kNoInit);
   for (int l = 0; l < sg.size(); ++l) out[l] = x[butterfly_partner(l, round, sg.size())];
   sg.counters().butterfly_words +=
       static_cast<std::uint64_t>(sg.size()) * ((sizeof(T) + 3) / 4);
@@ -138,7 +138,7 @@ template <typename T>
 inline Varying<T> exchange_local32(SubGroup& sg, const Varying<T>& x, int round) {
   static_assert(sizeof(T) % 4 == 0, "exchanged objects must be 4-byte multiples");
   const int words = static_cast<int>(sizeof(T) / 4);
-  Varying<T> out;
+  Varying<T> out(kNoInit);
   auto slm = sg.local();
   assert(slm.size() >= sizeof(std::uint32_t) * static_cast<std::size_t>(sg.size()));
   auto* word_buf = reinterpret_cast<std::uint32_t*>(slm.data());
@@ -164,7 +164,7 @@ inline Varying<T> exchange_local32(SubGroup& sg, const Varying<T>& x, int round)
 // (the launch wrapper sizes the arena from the largest exchanged object).
 template <typename T>
 inline Varying<T> exchange_local_object(SubGroup& sg, const Varying<T>& x, int round) {
-  Varying<T> out;
+  Varying<T> out(kNoInit);
   auto slm = sg.local();
   assert(slm.size() >= sizeof(T) * static_cast<std::size_t>(sg.size()));
   auto* obj_buf = reinterpret_cast<T*>(slm.data());

@@ -52,14 +52,13 @@ class SubGroup {
   OpCounters* counters_;
 };
 
-// Per-lane gather from a global array: out[l] = base[idx[l]] for active lanes.
+// Per-lane gather from a global array: out[l] = base[idx[l]] for active
+// lanes, T{} for inactive ones.
 template <typename T>
 inline Varying<T> gather(SubGroup& sg, const T* base, const Varying<std::int32_t>& idx,
                          const Varying<bool>& active) {
-  Varying<T> out;
-  for (int l = 0; l < sg.size(); ++l) {
-    if (active[l]) out[l] = base[idx[l]];
-  }
+  Varying<T> out(kNoInit);
+  for (int l = 0; l < sg.size(); ++l) out[l] = active[l] ? base[idx[l]] : T{};
   sg.counters().global_loads += static_cast<std::uint64_t>(sg.size());
   return out;
 }

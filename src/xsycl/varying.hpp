@@ -16,14 +16,28 @@ namespace hacc::xsycl {
 // Largest sub-group size of interest: AMD wavefronts are 64 wide (paper §4.3).
 inline constexpr int kMaxLanes = 64;
 
-template <typename T>
-class Varying {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "lane registers hold trivially copyable values only");
+// Tag selecting Varying's uninitialized constructor.
+struct NoInit {
+  explicit NoInit() = default;
+};
+inline constexpr NoInit kNoInit{};
 
+// Lane registers hold trivially copyable values only.
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+class Varying {
  public:
-  Varying() = default;
+  // Every lane value-initialized (zero for arithmetic types and aggregates).
+  Varying() : v_{} {}
   explicit Varying(const T& uniform) { v_.fill(uniform); }
+  // Lanes left unspecified, for registers whose every lane below sg.size()
+  // is written before it is read (exchange and gather outputs, loaded
+  // tiles): a 64-lane register of a 120-byte state is 7.5 KB to zero.
+  // Lanes at or above sg.size() are never read.  Only offered where
+  // default-initializing T does nothing.
+  explicit Varying(NoInit)
+    requires std::is_trivially_default_constructible_v<T>
+  {}
 
   T& operator[](int lane) { return v_[static_cast<std::size_t>(lane)]; }
   const T& operator[](int lane) const { return v_[static_cast<std::size_t>(lane)]; }
@@ -32,7 +46,7 @@ class Varying {
   const T* data() const { return v_.data(); }
 
  private:
-  std::array<T, kMaxLanes> v_{};
+  std::array<T, kMaxLanes> v_;
 };
 
 using VaryingF = Varying<float>;

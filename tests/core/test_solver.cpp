@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "util/config.hpp"
 
 namespace hacc::core {
@@ -82,7 +83,7 @@ TEST(Solver, GravityOnlyPerParticleGrowthCorrelation) {
       for (int iy = 0; iy < cfg.np_side; ++iy) {
         for (int iz = 0; iz < cfg.np_side; ++iz, ++i) {
           const util::Vec3d q{(ix + 0.5) * dx, (iy + 0.5) * dx, (iz + 0.5) * dx};
-          out.push_back(sph::min_image(p.pos_of(i) - q, cfg.box));
+          out.push_back(util::wrap_periodic(p.pos_of(i) - q, cfg.box));
         }
       }
     }
@@ -540,6 +541,22 @@ TEST(Solver, SubGroupSizeSixteenRuns) {
   for (const auto& s : solver.queue().history()) {
     EXPECT_EQ(s.sub_group_size, 16);
   }
+}
+
+TEST(Solver, UntracedSolversRegisterNoTraceRings) {
+  // Every overlapping Solver names its sched lane thread.  With tracing off
+  // that must not register a 64k-event trace ring per Solver.
+  obs::Tracer& tracer = obs::Tracer::global();
+  ASSERT_FALSE(tracer.enabled());
+  const std::size_t lanes_before = tracer.snapshot().size();
+  SimConfig cfg = small_config();
+  cfg.sched_overlap = OverlapMode::kOn;
+  util::ThreadPool pool(2);
+  for (int i = 0; i < 8; ++i) {
+    const Solver solver(cfg, pool);
+    ASSERT_TRUE(solver.overlap_enabled());
+  }
+  EXPECT_EQ(tracer.snapshot().size(), lanes_before);
 }
 
 }  // namespace

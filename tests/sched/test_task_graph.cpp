@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace hacc::sched {
 namespace {
 
@@ -189,6 +191,36 @@ TEST(StageExecutor, ReusableAcrossManyRuns) {
     ASSERT_EQ(r.stages.size(), 2u);
   }
   EXPECT_EQ(total.load(), 100);
+}
+
+TEST(StageExecutor, TracedLaneExportsItsSchedName) {
+  // The lane names itself before tracing has recorded anything on it; the
+  // name must still reach the lane once its first span registers a ring.
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable();
+  {
+    // Both stages wait for each other, so the lane must run one of them.
+    std::atomic<int> started{0};
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    const auto rendezvous = [&] {
+      started.fetch_add(1);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    TaskGraph g;
+    g.add("ping", {}, rendezvous);
+    g.add("pong", {}, rendezvous);
+    StageExecutor exec(1);
+    exec.run(g);
+  }
+  tracer.disable();
+  bool named = false;
+  for (const auto& lane : tracer.snapshot()) {
+    if (lane.thread_name == "sched-0" && !lane.events.empty()) named = true;
+  }
+  EXPECT_TRUE(named);
+  tracer.clear();
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST_P(CrkProperties, PartitionOfUnity) {
     double sum = ref_.V[i] * ref_.crk[i].A * kernel_self(double(gas_.h[i]));
     for (std::size_t j = 0; j < gas_.size(); ++j) {
       if (j == i) continue;
-      const auto xij = min_image(xi - gas_.pos_of(j), box);
+      const auto xij = util::wrap_periodic(xi - gas_.pos_of(j), box);
       const double w = kernel_w(norm(xij), double(gas_.h[i]));
       if (w == 0.0) continue;
       sum += ref_.V[j] * crk_w(ref_.crk[i], xij, w);
@@ -69,7 +69,7 @@ TEST_P(CrkProperties, FirstMomentVanishes) {
     util::Vec3d sum{};
     for (std::size_t j = 0; j < gas_.size(); ++j) {
       if (j == i) continue;
-      const auto xij = min_image(xi - gas_.pos_of(j), box);
+      const auto xij = util::wrap_periodic(xi - gas_.pos_of(j), box);
       const double w = kernel_w(norm(xij), double(gas_.h[i]));
       if (w == 0.0) continue;
       sum += xij * (ref_.V[j] * crk_w(ref_.crk[i], xij, w));
@@ -93,7 +93,7 @@ TEST_P(CrkProperties, CorrectedGradientSumsToZero) {
                       ref_.V[i];
     for (std::size_t j = 0; j < gas_.size(); ++j) {
       if (j == i) continue;
-      const auto xij = min_image(xi - gas_.pos_of(j), box);
+      const auto xij = util::wrap_periodic(xi - gas_.pos_of(j), box);
       const double r = norm(xij);
       const double w = kernel_w(r, double(gas_.h[i]));
       if (w == 0.0) continue;

@@ -23,7 +23,7 @@ HydroSide<double> make_side(Vec3d pos, Vec3d vel, double h = 1.0) {
 
 TEST(MinImage, WrapsToNearestImage) {
   const double box = 10.0;
-  const Vec3d d = min_image(Vec3d{9.0, -9.0, 4.0}, box);
+  const Vec3d d = util::wrap_periodic(Vec3d{9.0, -9.0, 4.0}, box);
   EXPECT_DOUBLE_EQ(d.x, -1.0);
   EXPECT_DOUBLE_EQ(d.y, 1.0);
   EXPECT_DOUBLE_EQ(d.z, 4.0);
@@ -32,7 +32,7 @@ TEST(MinImage, WrapsToNearestImage) {
 TEST(MinImage, HalfBoxMagnitudeBound) {
   const double box = 7.0;
   for (double v = -20.0; v < 20.0; v += 0.611) {
-    const Vec3d d = min_image(Vec3d{v, 0, 0}, box);
+    const Vec3d d = util::wrap_periodic(Vec3d{v, 0, 0}, box);
     EXPECT_LE(std::abs(d.x), box / 2 + 1e-12);
   }
 }

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace hacc::util {
 namespace {
 
@@ -89,6 +98,51 @@ TEST(Sym3, MatrixVectorProduct) {
   Sym3d m{2.0, 0.0, 0.0, 3.0, 0.0, 4.0};
   const Vec3d r = m * Vec3d{1.0, 1.0, 1.0};
   EXPECT_EQ(r, (Vec3d{2.0, 3.0, 4.0}));
+}
+
+// wrap_periodic must equal the libm formulation it replaces bit for bit,
+// signed zeros included; NaN inputs need only stay NaN.
+template <typename T>
+void expect_wrap_matches_round(T box) {
+  const auto reference = [box](T d) { return d - box * std::round(d / box); };
+  const auto check = [&](T d) {
+    const T got = wrap_periodic(d, box);
+    const T want = reference(d);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "d=" << d << " box=" << box;
+      return;
+    }
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+    EXPECT_EQ(std::bit_cast<Bits>(got), std::bit_cast<Bits>(want))
+        << "d=" << d << " box=" << box << " got=" << got << " want=" << want;
+  };
+
+  const T inf = std::numeric_limits<T>::infinity();
+  std::vector<T> edges = {T(0), -T(0), inf, -inf, std::numeric_limits<T>::quiet_NaN()};
+  for (const T m : {T(0.5), T(1), T(1.5)}) {
+    for (const T sign : {T(1), T(-1)}) {
+      const T e = sign * m * box;
+      edges.insert(edges.end(), {e, std::nextafter(e, T(0)), std::nextafter(e, sign * inf)});
+    }
+  }
+  for (const T d : edges) check(d);
+
+  const CounterRng rng(0x5eed);
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    check(static_cast<T>(box * (6.0 * rng.uniform(i) - 3.0)));
+  }
+}
+
+TEST(WrapPeriodic, BitIdenticalToRoundFormulationFloat) {
+  for (const float box : {1.0f, 25.0f, 50.0f, 0.3f, 1e-3f}) {
+    expect_wrap_matches_round(box);
+  }
+}
+
+TEST(WrapPeriodic, BitIdenticalToRoundFormulationDouble) {
+  for (const double box : {1.0, 25.0, 50.0, 0.3, 1e-3}) {
+    expect_wrap_matches_round(box);
+  }
 }
 
 }  // namespace

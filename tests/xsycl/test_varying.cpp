@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 namespace hacc::xsycl {
 namespace {
 
@@ -35,6 +38,42 @@ TEST(Varying, HoldsTriviallyCopyableStructs) {
 TEST(Varying, MaxLanesMatchesWidestWavefront) {
   // AMD wavefronts are 64 wide (paper §4.3); the emulation must hold them.
   EXPECT_EQ(kMaxLanes, 64);
+}
+
+// Varying<T>(kNoInit) compiles exactly for trivially copyable T whose
+// default initialization does nothing.
+template <typename T>
+concept NoInitLanes = requires { Varying<T>(kNoInit); };
+
+struct Plain {
+  float x;
+  std::int32_t idx;
+};
+struct DefaultMemberInit {
+  float x = 1.f;
+};
+
+TEST(Varying, NoInitOnlyForTriviallyCopyableTypes) {
+  static_assert(NoInitLanes<float>);
+  static_assert(NoInitLanes<bool>);
+  static_assert(NoInitLanes<Plain>);
+  // Trivially copyable, but its lanes would need a constructor run.
+  static_assert(std::is_trivially_copyable_v<DefaultMemberInit>);
+  static_assert(!NoInitLanes<DefaultMemberInit>);
+  // Not trivially copyable: no lane register at all.
+  static_assert(!NoInitLanes<std::string>);
+  // The tag is explicit: only the spelled-out kNoInit selects it.
+  static_assert(!std::is_convertible_v<NoInit, Varying<float>>);
+  SUCCEED();
+}
+
+TEST(Varying, NoInitLanesHoldWhatIsWritten) {
+  Varying<Plain> v(kNoInit);
+  for (int l = 0; l < 16; ++l) v[l] = {static_cast<float>(l), l};
+  for (int l = 0; l < 16; ++l) {
+    EXPECT_EQ(v[l].x, static_cast<float>(l));
+    EXPECT_EQ(v[l].idx, l);
+  }
 }
 
 }  // namespace

@@ -26,6 +26,10 @@ the determinism and concurrency conventions documented in docs/CONCURRENCY.md:
                    naming convention from docs/OBSERVABILITY.md
                    (lowercase, dotted, e.g. `pm.deposit`, `core.step`), so
                    traces group cleanly by subsystem.
+  min-image        No `std::round(... / box)` outside src/util/: the
+                   minimum-image wrap has one definition,
+                   util::wrap_periodic (src/util/vec3.hpp), which is exact
+                   and keeps libm's round() off the pair-kernel hot path.
   allowlist        Every allowlist entry must carry a justification, and must
                    match at least one current finding (stale entries are
                    errors, so suppressions cannot outlive their cause).
@@ -100,6 +104,32 @@ SPAN_LITERAL_PATTERNS = [
 # capitalization so dynamic kernel names (`xsycl.upBarAcF`) fit the same
 # convention checked by tools/check_events.py on exported traces.
 SPAN_NAME = re.compile(r"^[a-z][a-z0-9_]*\.[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*$")
+
+# `std::round(` calls; the argument is matched with balanced parentheses in
+# round_arguments().  A box-named divisor right after a `/` (optionally
+# through member access or a cast) marks a hand-rolled minimum-image wrap:
+# `dx / box`, `d / opt_.box`, `x / static_cast<float>(cfg.box)`.
+STD_ROUND_CALL = re.compile(r"\bstd\s*::\s*round\s*\(")
+BOX_DIVISOR = re.compile(
+    r"/\s*\(?\s*(?:static_cast\s*<[^>]*>\s*\(\s*)?"
+    r"(?:\w+\s*(?:\.|->|::)\s*)*\w*box\w*", re.IGNORECASE)
+MIN_IMAGE_HOME = "src/util/"
+
+
+def round_arguments(code: str) -> list[str]:
+    """The argument text of every std::round(...) call on a stripped line."""
+    args = []
+    for m in STD_ROUND_CALL.finditer(code):
+        depth = 1
+        i = m.end()
+        while i < len(code) and depth > 0:
+            if code[i] == "(":
+                depth += 1
+            elif code[i] == ")":
+                depth -= 1
+            i += 1
+        args.append(code[m.end():i - 1] if depth == 0 else code[m.end():])
+    return args
 
 
 class Finding:
@@ -185,6 +215,12 @@ def lint_file(path: Path, repo_root: Path) -> list[Finding]:
                     rel, lineno, "no-cout",
                     f"{label} in library code; return data or route through "
                     f"an allowlisted writer"))
+        if not rel.startswith(MIN_IMAGE_HOME) and any(
+                BOX_DIVISOR.search(arg) for arg in round_arguments(stripped)):
+            findings.append(Finding(
+                rel, lineno, "min-image",
+                "hand-rolled minimum-image wrap; call util::wrap_periodic "
+                "(src/util/vec3.hpp)"))
         if PARALLEL_FOR_CALL.search(stripped):
             lo = max(0, lineno - 1 - SHARED_COMMENT_WINDOW)
             window = lines[lo:lineno]

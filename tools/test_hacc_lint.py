@@ -169,6 +169,44 @@ class SpanNameRule(unittest.TestCase):
             lint_source("a.cpp", "const obs::TraceSpan span(nullptr);\n"), [])
 
 
+class MinImageRule(unittest.TestCase):
+    def test_round_over_box_flagged(self):
+        src = "dx -= box * std::round(dx / box);\n"
+        self.assertIn("min-image", lint_source("src/gravity/a.cpp", src))
+
+    def test_member_box_flagged(self):
+        src = "d -= opt_.box * std::round(d / opt_.box);\n"
+        self.assertIn("min-image", lint_source("src/domain/a.cpp", src))
+
+    def test_nested_parentheses_and_cast_flagged(self):
+        src = "x -= L * std::round((a[i] - b[i]) / static_cast<float>(cfg.box_size));\n"
+        self.assertIn("min-image", lint_source("a.cpp", src))
+
+    def test_spaced_std_qualifier_flagged(self):
+        src = "d -= kBox * std :: round( d/kBox );\n"
+        self.assertIn("min-image", lint_source("a.hpp", "#pragma once\n" + src))
+
+    def test_util_is_the_home_of_the_wrap(self):
+        src = "#pragma once\nreturn d - box * std::round(d / box);\n"
+        self.assertEqual(lint_source("src/util/vec3.hpp", src), [])
+
+    def test_round_without_box_divisor_clean(self):
+        src = "const int n = static_cast<int>(std::round(x / h));\n"
+        self.assertEqual(lint_source("a.cpp", src), [])
+
+    def test_box_outside_the_round_argument_clean(self):
+        src = "const double c = std::round(x) / box;\n"
+        self.assertEqual(lint_source("a.cpp", src), [])
+
+    def test_wrap_helper_call_clean(self):
+        src = "dx = util::wrap_periodic(dx, box);\n"
+        self.assertEqual(lint_source("a.cpp", src), [])
+
+    def test_commented_round_ignored(self):
+        src = "// was: d -= box * std::round(d / box);\n"
+        self.assertEqual(lint_source("a.cpp", src), [])
+
+
 class HeaderHygieneRule(unittest.TestCase):
     def test_missing_pragma_once_flagged(self):
         self.assertIn("header-hygiene", lint_source("a.hpp", "int f();\n"))
